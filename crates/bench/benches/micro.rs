@@ -4,7 +4,9 @@
 //! * distance kernel throughput,
 //! * triangular vs Ptolemaic filter kernels (the ~m/2× CPU gap behind the
 //!   1.5–2× query-time difference of §5.2.5),
-//! * B+-tree point lookups and cursor scans.
+//! * B+-tree point lookups and cursor scans,
+//! * buffer-pool reads: the cost of a miss (one positioned read into a
+//!   recycled page) and of a hit.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hd_core::dataset::{generate, DatasetProfile};
@@ -130,5 +132,52 @@ fn bench_btree(c: &mut Criterion) {
     std::fs::remove_file(path).ok();
 }
 
-criterion_group!(benches, bench_hilbert, bench_distance, bench_filters, bench_btree);
+fn bench_buffer_pool(c: &mut Criterion) {
+    use hd_storage::{BufferPool, Pager};
+
+    // 4096 cached pages over a 25 600-page file: uniform random reads miss
+    // 84% of the time, so the mean is dominated by the miss path.
+    const CACHE: usize = 4096;
+    const PAGES: u64 = 25_600;
+    let dir = std::env::temp_dir().join("hd_bench_buffer");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("bench_{}", std::process::id()));
+    let pager = Pager::create(&path).unwrap();
+    pager.allocate_pages(PAGES).unwrap();
+    let pool = BufferPool::new(pager, CACHE);
+    for id in 0..CACHE as u64 {
+        pool.read(id).unwrap();
+    }
+
+    let mut g = c.benchmark_group("buffer_pool");
+    g.sample_size(200);
+    g.bench_function("read_84pct_miss", |b| {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        b.iter(|| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            pool.read(black_box(x % PAGES)).unwrap()
+        })
+    });
+    g.bench_function("read_hit", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 1) % 64;
+            pool.read(black_box(i)).unwrap()
+        })
+    });
+    g.finish();
+    drop(pool);
+    std::fs::remove_file(path).ok();
+}
+
+criterion_group!(
+    benches,
+    bench_hilbert,
+    bench_distance,
+    bench_filters,
+    bench_btree,
+    bench_buffer_pool
+);
 criterion_main!(benches);

@@ -211,8 +211,13 @@ impl ShardSet {
             writeln!(f, "{MAGIC}")?;
             writeln!(f, "shards {}", self.shards.len())?;
             f.flush()?;
+            // The content must be on stable storage before the rename
+            // makes it visible.
+            f.get_ref().sync_all()?;
         }
-        std::fs::rename(tmp, dir.join(META_FILE))
+        std::fs::rename(tmp, dir.join(META_FILE))?;
+        // And the rename itself must survive a crash.
+        std::fs::File::open(dir)?.sync_all()
     }
 
     fn read_meta(dir: &Path) -> io::Result<usize> {

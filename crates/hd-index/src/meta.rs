@@ -112,7 +112,9 @@ impl IndexMeta {
             // the rename makes it visible.
             f.get_ref().sync_all()?;
         }
-        std::fs::rename(tmp, dir.join(META_FILE))
+        std::fs::rename(tmp, dir.join(META_FILE))?;
+        // And the rename itself must survive a crash.
+        std::fs::File::open(dir)?.sync_all()
     }
 
     /// Reads the metadata file from `dir`.

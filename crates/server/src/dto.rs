@@ -52,8 +52,10 @@ fn parse_vector(value: &Json, dim: usize, what: &str) -> Result<Vec<f32>, String
     }
     items
         .iter()
-        .map(|v| match v.as_f64() {
-            Some(x) if x.is_finite() => Ok(x as f32),
+        .map(|v| match v.as_f64().map(|x| x as f32) {
+            // Checked after narrowing: a finite f64 beyond f32's range
+            // (1e39) becomes infinite.
+            Some(x) if x.is_finite() => Ok(x),
             _ => Err(format!("{what} must contain only finite numbers")),
         })
         .collect()
@@ -202,6 +204,8 @@ mod tests {
             (br#"{"vector":[1,2],"vectors":[[1,2]]}"#, "not both"),
             (br#"{"vector":[1]}"#, "dimensions"),
             (br#"{"vector":[1,"x"]}"#, "finite numbers"),
+            (br#"{"vector":[1,1e39]}"#, "finite numbers"),
+            (br#"{"vectors":[[1,2],[-1e39,2]]}"#, "finite numbers"),
             (br#"{"vector":[1,2],"k":0}"#, "positive integer"),
             (br#"{"vector":[1,2],"metric":"chebyshev"}"#, "unknown metric"),
             (br#"{"vector":[1,2],"vektor":[1,2]}"#, "unknown field"),
@@ -222,6 +226,7 @@ mod tests {
         assert_eq!(rec.vector, vec![5.0, 6.0]);
         assert!(parse_record(br#"{"id":7}"#, MAX, 2).is_err());
         assert!(parse_record(br#"{}"#, MAX, 2).is_err());
+        assert!(parse_record(br#"{"vector":[5,1e39]}"#, MAX, 2).is_err());
     }
 
     #[test]

@@ -288,6 +288,36 @@ fn error_envelope_covers_400_404_405_413_501() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// 1e39 is a finite JSON number but overflows f32 to infinity: it must be
+/// refused before it is searched for or logged, not after.
+#[test]
+fn out_of_f32_range_components_are_a_400() {
+    let _g = gate();
+    let (engine, queries, dir) = build_engine("f32range", 300);
+    let server = Server::bind(Arc::clone(&engine), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr());
+    let mut items: Vec<String> = queries[0].iter().map(|x| format!("{x}")).collect();
+    items[3] = "1e39".into();
+    let vector = format!("[{}]", items.join(","));
+    let before = engine.len();
+    for (path, body) in [
+        ("/v1/query", format!("{{\"vector\":{vector},\"k\":1}}")),
+        ("/v1/records", format!("{{\"vector\":{vector}}}")),
+    ] {
+        let reply = client.send("POST", path, &[], Some(&body));
+        assert_eq!(reply.status, 400, "{path}: {}", reply.body);
+        let error = reply.json();
+        let error = error.get("error").unwrap();
+        assert_eq!(error.get("code").unwrap().as_str(), Some("bad_request"));
+        let message = error.get("message").unwrap().as_str().unwrap();
+        assert!(message.contains("finite"), "{path}: {message}");
+    }
+    assert_eq!(engine.len(), before, "the rejected record must not be inserted");
+
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn rate_limiter_throttles_per_api_key() {
     let _g = gate();

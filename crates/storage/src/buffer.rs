@@ -12,22 +12,127 @@
 //!
 //! Pages are handed out as `Arc<[u8]>` snapshots: readers never block each
 //! other, and a writer simply replaces the cached entry (write-through).
+//!
+//! The cache is an exact LRU: an intrusive doubly-linked recency list over a
+//! slab of at most `capacity` slots, indexed by a `PageId → slot` map with an
+//! integer hasher. A hit is one lookup and an O(1) relink; a miss at
+//! capacity reuses the tail slot for the incoming page. Nothing grows with
+//! the number of requests.
+//!
+//! A miss is one positioned read straight into the `Arc<[u8]>` that is then
+//! cached and returned. The buffer comes from a short list of evicted pages
+//! that no caller holds any more (`Arc::get_mut` succeeds); only when none is
+//! free is a new one allocated. A page some caller still holds is never
+//! reused, and a buffer whose read failed is dropped, never installed.
 
 use crate::budget::CacheBudget;
 use crate::page::PageId;
 use crate::pager::Pager;
 use crate::stats::{IoSnapshot, IoStats};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use std::sync::Arc;
 
+/// Evicted page buffers kept per pool for reuse by later misses.
+const SPARE_BUFFERS: usize = 8;
+
+/// Sentinel link: no slot.
+const NIL: usize = usize::MAX;
+
+/// Multiplicative hash for page ids: ids are dense integers, so one multiply
+/// spreads them over the table without SipHash's cost.
+#[derive(Default)]
+struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only `PageId`s are hashed, through `write_u64`")
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// One cached page and its links in the recency list.
+struct Slot {
+    id: PageId,
+    page: Arc<[u8]>,
+    /// Towards the most recently used end.
+    prev: usize,
+    /// Towards the least recently used end.
+    next: usize,
+}
+
 struct Inner {
-    cache: HashMap<PageId, (Arc<[u8]>, u64)>,
-    /// Recency queue with lazy invalidation: entries whose stamp no longer
-    /// matches the map are skipped at eviction time.
-    lru: VecDeque<(PageId, u64)>,
-    stamp: u64,
+    index: HashMap<PageId, usize, BuildHasherDefault<PageIdHasher>>,
+    slots: Vec<Slot>,
+    /// Most recently used slot.
+    head: usize,
+    /// Least recently used slot: the next eviction victim.
+    tail: usize,
+    /// Evicted pages, possibly still held by callers.
+    spare: Vec<Arc<[u8]>>,
+}
+
+impl Inner {
+    fn unlink(&mut self, s: usize) {
+        let (prev, next) = (self.slots[s].prev, self.slots[s].next);
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, s: usize) {
+        self.slots[s].prev = NIL;
+        self.slots[s].next = self.head;
+        match self.head {
+            NIL => self.tail = s,
+            h => self.slots[h].prev = s,
+        }
+        self.head = s;
+    }
+
+    /// Marks slot `s` most recently used.
+    fn touch(&mut self, s: usize) {
+        if self.head != s {
+            self.unlink(s);
+            self.push_front(s);
+        }
+    }
+
+    /// Keeps an evicted page for reuse if there is room.
+    fn recycle(&mut self, page: Arc<[u8]>) {
+        if self.spare.len() < SPARE_BUFFERS {
+            self.spare.push(page);
+        }
+    }
+
+    /// A spare page no caller holds any more, if there is one.
+    fn take_spare(&mut self) -> Option<Arc<[u8]>> {
+        // Only `spare` can reach these pages, so a count of one stays one.
+        let free = self.spare.iter().position(|p| Arc::strong_count(p) == 1)?;
+        Some(self.spare.swap_remove(free))
+    }
+
+    fn clear(&mut self) {
+        self.index.clear();
+        self.slots.clear();
+        self.spare.clear();
+        self.head = NIL;
+        self.tail = NIL;
+    }
 }
 
 /// An LRU-cached, statistics-counting view over a [`Pager`].
@@ -35,7 +140,7 @@ pub struct BufferPool {
     pager: Pager,
     capacity: usize,
     /// Optional global quota shared with other pools; every cached page
-    /// holds one charge (invariant: charges == cache.len()).
+    /// holds one charge (invariant: charges == cached pages).
     budget: Option<CacheBudget>,
     inner: Mutex<Inner>,
     stats: IoStats,
@@ -62,14 +167,17 @@ impl BufferPool {
     /// its own pages (charge transfer) or forgoes caching, so the sum of
     /// cached pages across all pools sharing the budget never exceeds it.
     pub fn with_budget(pager: Pager, capacity: usize, budget: Option<CacheBudget>) -> Self {
+        let reserve = capacity.min(1 << 20);
         Self {
             pager,
             capacity,
             budget,
             inner: Mutex::new(Inner {
-                cache: HashMap::with_capacity(capacity.min(1 << 20)),
-                lru: VecDeque::with_capacity(capacity.min(1 << 20)),
-                stamp: 0,
+                index: HashMap::with_capacity_and_hasher(reserve, Default::default()),
+                slots: Vec::with_capacity(reserve),
+                head: NIL,
+                tail: NIL,
+                spare: Vec::new(),
             }),
             stats: IoStats::new(),
         }
@@ -103,8 +211,7 @@ impl BufferPool {
 
     /// Heap bytes currently held by cached pages (the pool's RAM footprint).
     pub fn memory_bytes(&self) -> usize {
-        let inner = self.inner.lock();
-        inner.cache.len() * self.pager.page_size()
+        self.inner.lock().slots.len() * self.pager.page_size()
     }
 
     /// Bytes on disk behind this pool.
@@ -130,24 +237,21 @@ impl BufferPool {
     /// Reads page `id`, from cache when possible.
     pub fn read(&self, id: PageId) -> io::Result<Arc<[u8]>> {
         self.stats.record_logical_read();
-        if self.capacity > 0 {
+        let mut page = if self.capacity > 0 {
             let mut inner = self.inner.lock();
-            if let Some((page, _)) = inner.cache.get(&id) {
-                let page = Arc::clone(page);
-                let stamp = inner.stamp;
-                inner.stamp += 1;
-                if let Some(entry) = inner.cache.get_mut(&id) {
-                    entry.1 = stamp;
-                }
-                inner.lru.push_back((id, stamp));
-                return Ok(page);
+            if let Some(&s) = inner.index.get(&id) {
+                inner.touch(s);
+                return Ok(Arc::clone(&inner.slots[s].page));
             }
+            inner.take_spare()
+        } else {
+            None
         }
-        // Miss: physical read.
-        let mut buf = vec![0u8; self.pager.page_size()];
-        self.pager.read_page(id, &mut buf)?;
+        .unwrap_or_else(|| self.fresh_page());
+        // Miss: one physical read into a buffer only this call can reach.
+        let buf = Arc::get_mut(&mut page).expect("spare and fresh pages are unshared");
+        self.pager.read_page(id, buf)?;
         self.stats.record_physical_read();
-        let page: Arc<[u8]> = Arc::from(buf.into_boxed_slice());
         if self.capacity > 0 {
             self.install(id, Arc::clone(&page));
         }
@@ -162,7 +266,7 @@ impl BufferPool {
         self.pager.write_page(id, data)?;
         self.stats.record_physical_write();
         if self.capacity > 0 {
-            self.install(id, Arc::from(data.to_vec().into_boxed_slice()));
+            self.install(id, Arc::from(data));
         }
         Ok(())
     }
@@ -171,10 +275,9 @@ impl BufferPool {
     pub fn clear_cache(&self) {
         let mut inner = self.inner.lock();
         if let Some(budget) = &self.budget {
-            budget.release(inner.cache.len());
+            budget.release(inner.slots.len());
         }
-        inner.cache.clear();
-        inner.lru.clear();
+        inner.clear();
     }
 
     /// Flushes OS buffers to stable storage.
@@ -182,67 +285,56 @@ impl BufferPool {
         self.pager.sync()
     }
 
-    /// Evicts the least-recently-used live page. Returns `false` when the
-    /// cache is empty. Does not touch the budget: callers decide whether the
-    /// freed charge is released or transferred to an incoming page.
-    fn evict_one(inner: &mut Inner) -> bool {
-        while let Some((victim, s)) = inner.lru.pop_front() {
-            let live = inner
-                .cache
-                .get(&victim)
-                .map(|(_, cur)| *cur == s)
-                .unwrap_or(false);
-            if live {
-                inner.cache.remove(&victim);
-                return true;
-            }
-        }
-        false
+    /// A new zeroed page buffer, allocated once in its `Arc`.
+    fn fresh_page(&self) -> Arc<[u8]> {
+        std::iter::repeat_n(0u8, self.pager.page_size()).collect()
     }
 
+    /// Caches `page` as the most recently used copy of `id`. A new page
+    /// takes a free slot and a fresh budget charge while both last;
+    /// otherwise it replaces the least recently used page, inheriting its
+    /// slot and its charge. With the budget exhausted and nothing of its own
+    /// to evict, the pool does not cache the page.
     fn install(&self, id: PageId, page: Arc<[u8]>) {
         let mut inner = self.inner.lock();
-        if let Some(budget) = &self.budget {
-            if !inner.cache.contains_key(&id) && !budget.try_charge() {
-                // Global quota exhausted: hand one of our own pages' charges
-                // to the incoming page, or forgo caching it.
-                if !Self::evict_one(&mut inner) {
-                    return;
-                }
+        if let Some(&s) = inner.index.get(&id) {
+            let old = std::mem::replace(&mut inner.slots[s].page, page);
+            inner.recycle(old);
+            inner.touch(s);
+            return;
+        }
+        let grow = inner.slots.len() < self.capacity
+            && self.budget.as_ref().is_none_or(CacheBudget::try_charge);
+        let s = if grow {
+            inner.slots.push(Slot {
+                id,
+                page,
+                prev: NIL,
+                next: NIL,
+            });
+            inner.slots.len() - 1
+        } else {
+            let s = inner.tail;
+            if s == NIL {
+                return;
             }
-        }
-        let stamp = inner.stamp;
-        inner.stamp += 1;
-        inner.cache.insert(id, (page, stamp));
-        inner.lru.push_back((id, stamp));
-        while inner.cache.len() > self.capacity {
-            if Self::evict_one(&mut inner) {
-                if let Some(budget) = &self.budget {
-                    budget.release(1);
-                }
-            } else {
-                break;
-            }
-        }
-        // Bound the recency queue: lazy invalidation can let it grow past the
-        // cache; compact when it is far larger than the live set.
-        if inner.lru.len() > 8 * self.capacity.max(16) {
-            let cache = &inner.cache;
-            let retained: VecDeque<(PageId, u64)> = inner
-                .lru
-                .iter()
-                .filter(|(id, s)| cache.get(id).map(|(_, cur)| cur == s).unwrap_or(false))
-                .copied()
-                .collect();
-            inner.lru = retained;
-        }
+            inner.unlink(s);
+            let victim = inner.slots[s].id;
+            inner.index.remove(&victim);
+            inner.slots[s].id = id;
+            let old = std::mem::replace(&mut inner.slots[s].page, page);
+            inner.recycle(old);
+            s
+        };
+        inner.index.insert(id, s);
+        inner.push_front(s);
     }
 }
 
 impl Drop for BufferPool {
     fn drop(&mut self) {
         if let Some(budget) = &self.budget {
-            budget.release(self.inner.lock().cache.len());
+            budget.release(self.inner.lock().slots.len());
         }
     }
 }
@@ -441,6 +533,186 @@ mod tests {
                 });
             }
         });
+        std::fs::remove_file(path).ok();
+    }
+
+    /// Reference LRU with the pool's budget rules, written as plainly as
+    /// possible: recency order in a `Vec` (front = most recent), charge
+    /// first, then evict down to capacity.
+    struct ModelPool {
+        capacity: usize,
+        lru: Vec<PageId>,
+    }
+
+    impl ModelPool {
+        /// Returns whether `id` was cached, and makes it most recent.
+        fn touch(&mut self, id: PageId) -> bool {
+            match self.lru.iter().position(|&p| p == id) {
+                Some(i) => {
+                    self.lru.remove(i);
+                    self.lru.insert(0, id);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn install(&mut self, id: PageId, used: &mut usize, quota: usize) {
+            if self.capacity == 0 || self.touch(id) {
+                return;
+            }
+            if *used < quota {
+                *used += 1;
+            } else if self.lru.pop().is_none() {
+                return;
+            }
+            self.lru.insert(0, id);
+            while self.lru.len() > self.capacity {
+                self.lru.pop();
+                *used -= 1;
+            }
+        }
+    }
+
+    /// xorshift64*: a deterministic op stream without a dependency.
+    fn next_rand(state: &mut u64) -> u64 {
+        *state ^= *state >> 12;
+        *state ^= *state << 25;
+        *state ^= *state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    #[test]
+    fn hit_miss_decisions_match_a_reference_lru_under_a_shared_budget() {
+        const PAGE: usize = 16;
+        const PAGES: u64 = 12;
+        let dir = std::env::temp_dir().join("hd_storage_buffer_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut rng = 0x5EED_u64;
+        for case in 0..200 {
+            let quota = 1 + (next_rand(&mut rng) % 8) as usize;
+            let budget = crate::budget::CacheBudget::new(quota);
+            let mut pools = Vec::new();
+            let mut models = Vec::new();
+            let mut paths = Vec::new();
+            for p in 0..2 {
+                let capacity = (next_rand(&mut rng) % 7) as usize;
+                let path = dir.join(format!("model_{case}_{p}_{}", std::process::id()));
+                let pager = Pager::create_with_page_size(&path, PAGE).unwrap();
+                pager.allocate_pages(PAGES).unwrap();
+                pools.push(BufferPool::with_budget(pager, capacity, Some(budget.clone())));
+                models.push(ModelPool {
+                    capacity,
+                    lru: Vec::new(),
+                });
+                paths.push(path);
+            }
+            let mut contents = [[0u8; PAGES as usize]; 2];
+            let mut used = 0usize;
+            for step in 0..300 {
+                let p = (next_rand(&mut rng) % 2) as usize;
+                let id = next_rand(&mut rng) % PAGES;
+                let (pool, model) = (&pools[p], &mut models[p]);
+                match next_rand(&mut rng) % 20 {
+                    0 => {
+                        pool.clear_cache();
+                        used -= model.lru.len();
+                        model.lru.clear();
+                    }
+                    1..=5 => {
+                        let fill = next_rand(&mut rng) as u8;
+                        pool.write(id, &[fill; PAGE]).unwrap();
+                        contents[p][id as usize] = fill;
+                        model.install(id, &mut used, quota);
+                    }
+                    _ => {
+                        let before = pool.stats().physical_reads;
+                        let page = pool.read(id).unwrap();
+                        let hit = pool.stats().physical_reads == before;
+                        assert!(page.iter().all(|&b| b == contents[p][id as usize]));
+                        let want_hit = model.touch(id);
+                        assert_eq!(hit, want_hit, "case {case} step {step}: pool {p} page {id}");
+                        if !want_hit {
+                            model.install(id, &mut used, quota);
+                        }
+                    }
+                }
+                let cached: usize = pools.iter().map(|q| q.memory_bytes() / PAGE).sum();
+                assert_eq!(budget.used(), cached, "case {case} step {step}: charges != pages");
+                assert_eq!(budget.used(), used, "case {case} step {step}: budget drifted");
+            }
+            drop(pools);
+            assert_eq!(budget.used(), 0);
+            for path in paths {
+                std::fs::remove_file(path).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn hits_do_not_grow_the_pool() {
+        let (pool, path) = pool("hits_bounded", 32, 64, 8);
+        for i in 0..1_000_000u64 {
+            pool.read(i % 8).unwrap();
+        }
+        assert_eq!(pool.stats().physical_reads, 8);
+        let inner = pool.inner.lock();
+        assert!(inner.slots.len() <= pool.capacity());
+        assert_eq!(inner.index.len(), 8);
+        assert!(inner.spare.len() <= SPARE_BUFFERS);
+        drop(inner);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn a_held_page_survives_eviction_unchanged() {
+        let (pool, path) = pool("held", 32, 2, 16);
+        for id in 0..16u64 {
+            pool.write(id, &[id as u8 + 1; 32]).unwrap();
+        }
+        pool.clear_cache();
+        let held = pool.read(0).unwrap();
+        // Churn the cache many times over so evicted buffers get recycled.
+        for round in 0..8 {
+            for id in 1..16u64 {
+                let page = pool.read(id).unwrap();
+                assert!(page.iter().all(|&b| b == id as u8 + 1), "round {round} page {id}");
+            }
+        }
+        assert!(held.iter().all(|&b| b == 1), "a held page was overwritten");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn failed_read_installs_nothing() {
+        let (pool, path) = pool("truncated", 32, 2, 4);
+        // The writes leave pages 2 and 3 cached and the evicted buffers of
+        // pages 0 and 1 on the spare list, ready for the next misses.
+        for id in 0..4u64 {
+            pool.write(id, &[id as u8 + 1; 32]).unwrap();
+        }
+        // Cut the file in the middle of page 1: page 1 comes back short
+        // although the pager still counts it.
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(32 + 10)
+            .unwrap();
+        pool.reset_stats();
+        for _ in 0..2 {
+            let err = pool.read(1).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        }
+        assert_eq!(pool.stats().physical_reads, 0);
+        assert_eq!(pool.memory_bytes(), 2 * 32, "the failed page must not be cached");
+        for id in [2u64, 3] {
+            let page = pool.read(id).unwrap();
+            assert!(page.iter().all(|&b| b == id as u8 + 1), "cached page {id}");
+        }
+        let page = pool.read(0).unwrap();
+        assert!(page.iter().all(|&b| b == 1));
+        assert_eq!(pool.stats().physical_reads, 1);
         std::fs::remove_file(path).ok();
     }
 }

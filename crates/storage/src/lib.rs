@@ -6,8 +6,8 @@
 //! workspace is built on:
 //!
 //! * [`page`] — fixed-size pages (4096 B, the paper's `B`).
-//! * [`pager`] — a file-backed page allocator with raw page IO.
-//! * [`buffer`] — a buffer pool with LRU eviction, pin-free `Arc` page
+//! * [`pager`] — a file-backed page allocator with positioned page IO.
+//! * [`buffer`] — a buffer pool with exact LRU eviction, pin-free `Arc` page
 //!   handles, an exact IO-statistics ledger, and a zero-capacity mode that
 //!   reproduces the paper's cache-off measurements.
 //! * [`heap`] — a paged heap file of raw vectors, the "complete object

@@ -1,23 +1,32 @@
 //! File-backed page allocator and raw page IO.
+//!
+//! Every page read and write is one positioned syscall (`pread`/`pwrite`
+//! through [`FileExt`]): there is no shared file cursor, so concurrent
+//! readers take no lock and never serialize on each other. Only page
+//! allocation, which extends the file, is serialized.
 
 use crate::page::{PageId, DEFAULT_PAGE_SIZE};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A paged file: fixed-size pages addressed by [`PageId`], allocated
 /// append-only. All IO goes through [`Pager::read_page`]/[`Pager::write_page`]
 /// so the buffer pool above can count every physical access.
 ///
-/// Thread-safe: the underlying file handle is behind a mutex (page IO is
-/// seek+read/write, which must be atomic per call).
+/// Thread-safe: page IO is positioned and lock-free; `allocate_lock`
+/// serializes the appends that grow the file, and the page count is
+/// published only after the new pages are written.
 #[derive(Debug)]
 pub struct Pager {
-    file: Mutex<File>,
+    file: File,
     path: PathBuf,
     page_size: usize,
-    num_pages: Mutex<u64>,
+    num_pages: AtomicU64,
+    allocate_lock: Mutex<()>,
 }
 
 impl Pager {
@@ -38,12 +47,7 @@ impl Pager {
             .create(true)
             .truncate(true)
             .open(path.as_ref())?;
-        Ok(Self {
-            file: Mutex::new(file),
-            path: path.as_ref().to_path_buf(),
-            page_size,
-            num_pages: Mutex::new(0),
-        })
+        Ok(Self::with_file(file, path.as_ref(), page_size, 0))
     }
 
     /// Opens an existing paged file. The page count is derived from the file
@@ -58,12 +62,17 @@ impl Pager {
                 format!("file length {len} not a multiple of page size {page_size}"),
             ));
         }
-        Ok(Self {
-            file: Mutex::new(file),
-            path: path.as_ref().to_path_buf(),
+        Ok(Self::with_file(file, path.as_ref(), page_size, len / page_size as u64))
+    }
+
+    fn with_file(file: File, path: &Path, page_size: usize, num_pages: u64) -> Self {
+        Self {
+            file,
+            path: path.to_path_buf(),
             page_size,
-            num_pages: Mutex::new(len / page_size as u64),
-        })
+            num_pages: AtomicU64::new(num_pages),
+            allocate_lock: Mutex::new(()),
+        }
     }
 
     pub fn page_size(&self) -> usize {
@@ -76,7 +85,7 @@ impl Pager {
 
     /// Number of allocated pages.
     pub fn num_pages(&self) -> u64 {
-        *self.num_pages.lock()
+        self.num_pages.load(Ordering::Acquire)
     }
 
     /// Total on-disk size in bytes.
@@ -86,53 +95,37 @@ impl Pager {
 
     /// Allocates a fresh zeroed page at the end of the file and returns its id.
     pub fn allocate_page(&self) -> io::Result<PageId> {
-        let mut n = self.num_pages.lock();
-        let id = *n;
-        let zeros = vec![0u8; self.page_size];
-        {
-            let mut f = self.file.lock();
-            f.seek(SeekFrom::Start(id * self.page_size as u64))?;
-            f.write_all(&zeros)?;
-        }
-        *n += 1;
-        Ok(id)
+        self.allocate_pages(1)
     }
 
     /// Allocates `count` consecutive pages, returning the first id. Bulk
     /// loaders use this to lay out leaf chains contiguously.
     pub fn allocate_pages(&self, count: u64) -> io::Result<PageId> {
-        let mut n = self.num_pages.lock();
-        let first = *n;
-        let zeros = vec![0u8; self.page_size * count.min(256) as usize];
-        {
-            let mut f = self.file.lock();
-            f.seek(SeekFrom::Start(first * self.page_size as u64))?;
-            let mut remaining = count as usize;
-            while remaining > 0 {
-                let batch = remaining.min(256);
-                f.write_all(&zeros[..batch * self.page_size])?;
-                remaining -= batch;
-            }
+        let _guard = self.allocate_lock.lock();
+        let first = self.num_pages.load(Ordering::Acquire);
+        let zeros = vec![0u8; self.page_size * count.clamp(1, 256) as usize];
+        let mut offset = first * self.page_size as u64;
+        let mut remaining = count as usize;
+        while remaining > 0 {
+            let batch = remaining.min(256);
+            self.file
+                .write_all_at(&zeros[..batch * self.page_size], offset)?;
+            offset += (batch * self.page_size) as u64;
+            remaining -= batch;
         }
-        *n += count;
+        self.num_pages.store(first + count, Ordering::Release);
         Ok(first)
     }
 
-    /// Reads page `id` into `buf` (which must be exactly one page long).
+    /// Reads page `id` into `buf` (which must be exactly one page long). A
+    /// page cut short by the end of the file is an `UnexpectedEof` error.
     ///
     /// # Panics
     /// Panics if `buf.len() != page_size`.
     pub fn read_page(&self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
         assert_eq!(buf.len(), self.page_size, "buffer must be one page");
-        if id >= self.num_pages() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("page {id} out of bounds ({} allocated)", self.num_pages()),
-            ));
-        }
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(id * self.page_size as u64))?;
-        f.read_exact(buf)
+        self.check_bounds(id)?;
+        self.file.read_exact_at(buf, id * self.page_size as u64)
     }
 
     /// Writes `buf` (exactly one page) to page `id`.
@@ -141,20 +134,24 @@ impl Pager {
     /// Panics if `buf.len() != page_size`.
     pub fn write_page(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
         assert_eq!(buf.len(), self.page_size, "buffer must be one page");
-        if id >= self.num_pages() {
+        self.check_bounds(id)?;
+        self.file.write_all_at(buf, id * self.page_size as u64)
+    }
+
+    fn check_bounds(&self, id: PageId) -> io::Result<()> {
+        let allocated = self.num_pages();
+        if id >= allocated {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("page {id} out of bounds ({} allocated)", self.num_pages()),
+                format!("page {id} out of bounds ({allocated} allocated)"),
             ));
         }
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(id * self.page_size as u64))?;
-        f.write_all(buf)
+        Ok(())
     }
 
     /// Flushes OS buffers to stable storage.
     pub fn sync(&self) -> io::Result<()> {
-        self.file.lock().sync_all()
+        self.file.sync_all()
     }
 }
 

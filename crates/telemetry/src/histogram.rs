@@ -120,15 +120,23 @@ impl LatencyHistogram {
     /// bucket containing the ⌈q·count⌉-th smallest observation. Returns 0
     /// for an empty histogram.
     pub fn percentile(&self, q: f64) -> u64 {
-        let total = self.count();
+        // Rank within one copy of the buckets, not against `count`: under
+        // concurrent recording the buckets would otherwise be walked
+        // against a total taken at a different moment.
+        let counts: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect();
+        let total: u64 = counts.iter().sum();
         if total == 0 {
             return 0;
         }
         let q = q.clamp(0.0, 1.0);
         let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
         let mut seen = 0u64;
-        for (b, counter) in self.buckets.iter().enumerate() {
-            seen += counter.load(Ordering::Relaxed);
+        for (b, &n) in counts.iter().enumerate() {
+            seen += n;
             if seen >= rank {
                 return bucket_upper(b);
             }
