@@ -49,12 +49,14 @@ pub struct IoSnapshot {
 }
 
 impl IoSnapshot {
-    /// Accesses between two snapshots (`self` taken after `earlier`).
+    /// Accesses between two snapshots (`self` taken after `earlier`). A
+    /// counter reset between the two reads as zero, not as a wrapped
+    /// difference.
     pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
         IoSnapshot {
-            logical_reads: self.logical_reads - earlier.logical_reads,
-            physical_reads: self.physical_reads - earlier.physical_reads,
-            physical_writes: self.physical_writes - earlier.physical_writes,
+            logical_reads: self.logical_reads.saturating_sub(earlier.logical_reads),
+            physical_reads: self.physical_reads.saturating_sub(earlier.physical_reads),
+            physical_writes: self.physical_writes.saturating_sub(earlier.physical_writes),
         }
     }
 }
@@ -331,24 +333,11 @@ pub trait AnnIndex {
     /// when it differs from [`Self::metric`] — wrong-metric answers look
     /// plausible and are otherwise silent.
     fn search(&self, query: &[f32], req: &SearchRequest) -> io::Result<SearchOutput> {
-        if let Some(expected) = req.metric {
-            let actual = self.metric();
-            if expected != actual {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "request expects metric {expected} but this index serves {actual}"
-                    ),
-                ));
-            }
-        }
-        let n = self.len();
-        let k = req.k.min(n as usize);
-        if k == 0 {
+        let Some(req) = admit(self, req)? else {
             return Ok(SearchOutput::default());
-        }
-        let mut out = self.search_core(query, &SearchRequest { k, ..*req })?;
-        out.neighbors.truncate(k);
+        };
+        let mut out = self.search_core(query, &req)?;
+        out.neighbors.truncate(req.k);
         Ok(out)
     }
 
@@ -374,6 +363,29 @@ pub trait AnnIndex {
     fn lifecycle(&mut self) -> Option<&mut dyn Lifecycle> {
         None
     }
+}
+
+/// The request edge of [`AnnIndex::search`], shared with batch overrides
+/// of [`AnnIndex::search_batch`] so both apply the same rules: a
+/// [`SearchRequest::metric`] expectation that differs from
+/// [`AnnIndex::metric`] fails with `InvalidInput` (even for `k == 0`), and
+/// `k` is capped at [`AnnIndex::len`]. Returns the capped request, or
+/// `None` when there is nothing to search for (`k == 0` or an empty index).
+pub fn admit<I: AnnIndex + ?Sized>(
+    index: &I,
+    req: &SearchRequest,
+) -> io::Result<Option<SearchRequest>> {
+    if let Some(expected) = req.metric {
+        let actual = index.metric();
+        if expected != actual {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("request expects metric {expected} but this index serves {actual}"),
+            ));
+        }
+    }
+    let k = req.k.min(index.len() as usize);
+    Ok((k > 0).then_some(SearchRequest { k, ..*req }))
 }
 
 /// Update operations for indexes that support them (§3.6): HD-Index and the

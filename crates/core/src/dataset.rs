@@ -310,7 +310,7 @@ pub struct DatasetProfile {
 }
 
 impl DatasetProfile {
-    /// SIFT descriptors: 128-D integers in [0,255], ω=8, τ=8 (Table 3).
+    /// SIFT descriptors: 128-D integers in \[0,255\], ω=8, τ=8 (Table 3).
     pub const SIFT: Self = Self {
         name: "SIFT",
         dim: 128,
@@ -330,7 +330,7 @@ impl DatasetProfile {
         hilbert_order: 32,
         num_trees: 8,
     };
-    /// SUN GIST features: 512-D floats in [0,1], ω=32, τ=16 (§5.2.4
+    /// SUN GIST features: 512-D floats in \[0,1\], ω=32, τ=16 (§5.2.4
     /// recommends doubling τ beyond 500 dimensions).
     pub const SUN: Self = Self {
         name: "SUN",
@@ -351,7 +351,7 @@ impl DatasetProfile {
         hilbert_order: 32,
         num_trees: 8,
     };
-    /// Enron bi-gram features: 1369-D integers in [0,252429], ω=16, τ=37
+    /// Enron bi-gram features: 1369-D integers in \[0,252429\], ω=16, τ=37
     /// (1369 = 37×37, §5.2.4).
     pub const ENRON: Self = Self {
         name: "Enron",

@@ -152,15 +152,15 @@ impl Engine {
         self.search_batch_deadline(queries, qp, None)
     }
 
-    /// [`Self::search_batch`] with an optional wall-clock deadline, honored
-    /// at **batch granularity**: the deadline is checked before the fan-out
-    /// and again as each shard task is picked up by a pool worker, so a
-    /// batch queued behind slow work fails fast with
-    /// [`io::ErrorKind::TimedOut`] instead of hanging the caller while
-    /// every remaining shard task still grinds through. A task already
-    /// inside `knn_with_ref_dists` runs to completion — the check is
-    /// cooperative, not preemptive.
-    pub fn search_batch_deadline<'q, I>(
+    /// [`Self::search_batch`] with an optional wall-clock deadline (the
+    /// trait path's [`SearchRequest::time_budget`]), honored at **batch
+    /// granularity**: the deadline is checked before the fan-out and again
+    /// as each shard task is picked up by a pool worker, so a batch queued
+    /// behind slow work fails fast with [`io::ErrorKind::TimedOut`] instead
+    /// of hanging the caller while every remaining shard task still grinds
+    /// through. A task already inside `knn_with_ref_dists` runs to
+    /// completion — the check is cooperative, not preemptive.
+    fn search_batch_deadline<'q, I>(
         &self,
         queries: I,
         qp: &QueryParams,
@@ -169,7 +169,7 @@ impl Engine {
     where
         I: IntoIterator<Item = &'q [f32]>,
     {
-        let mut queries: Vec<&[f32]> = queries.into_iter().collect();
+        let queries: Vec<&[f32]> = queries.into_iter().collect();
         if queries.is_empty() {
             return Ok(Vec::new());
         }
@@ -181,23 +181,16 @@ impl Engine {
         }
         let s_count = self.set.shards.len();
 
-        // Metric preparation: normalize each query once per *batch* (not
-        // once per shard) when the metric requires it; shards receive
-        // index-form queries through `knn_with_ref_dists`, which does not
-        // normalize again.
+        // Normalize each query once per *batch*, not once per shard: shards
+        // receive index-form queries through `knn_with_ref_dists`, which
+        // does not normalize again.
         let metric = self.metric();
-        let normalized: Vec<Vec<f32>>;
-        if metric.normalizes_vectors() {
-            normalized = queries
-                .iter()
-                .map(|q| {
-                    let mut v = q.to_vec();
-                    metric.normalize_for_index(&mut v);
-                    v
-                })
-                .collect();
-            queries = normalized.iter().map(|v| v.as_slice()).collect();
-        }
+        let mut bufs: Vec<Vec<f32>> = vec![Vec::new(); queries.len()];
+        let queries: Vec<&[f32]> = queries
+            .into_iter()
+            .zip(&mut bufs)
+            .map(|(q, buf)| metric.normalized_query(q, buf))
+            .collect();
 
         // Reference distances: once per query, not once per (query, shard).
         let q_dists: Vec<Vec<f32>> = {
@@ -238,10 +231,7 @@ impl Engine {
                         // — the remaining queries all fail fast and the
                         // caller gets TimedOut as soon as the latch opens.
                         if deadline.is_some_and(|d| Instant::now() >= d) {
-                            *slot = Some(Err(io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                "batch exceeded its time budget",
-                            )));
+                            *slot = Some(Err(timed_out()));
                             continue;
                         }
                         let result = index
@@ -628,41 +618,26 @@ impl AnnIndex for Engine {
         Engine::metric(self)
     }
 
-    /// One-query batch through the sharded pipeline; `candidates` → α per
-    /// RDB-tree of every shard, `refine` → γ, `time_budget` → batch-level
-    /// deadline ([`Engine::search_batch_deadline`]).
+    /// A one-query [`AnnIndex::search_batch`].
     fn search_core(&self, query: &[f32], req: &SearchRequest) -> io::Result<SearchOutput> {
-        let qp = self.serve.resolve(req, self.len() as usize);
-        let deadline = req.time_budget.map(|b| Instant::now() + b);
-        Ok(SearchOutput::from_neighbors(
-            self.search_batch_deadline(std::iter::once(query), &qp, deadline)?
-                .pop()
-                .expect("one answer per query"),
-        ))
+        Ok(AnnIndex::search_batch(self, &[query], req)?
+            .pop()
+            .expect("one answer per query"))
     }
 
-    /// True batched execution: B·S shard tasks on the engine's worker pool,
-    /// exact-merged per query — result-identical to sequential
-    /// [`AnnIndex::search`] calls (the conformance suite checks this),
-    /// including the metric-expectation guard the provided `search`
-    /// applies (sequential calls would all fail, so the batch must too).
+    /// True batched execution: `candidates` → α per RDB-tree of every
+    /// shard, `refine` → γ, `time_budget` → batch-level deadline (checked
+    /// before the fan-out and as each shard task starts). B·S shard tasks
+    /// on the engine's worker pool, exact-merged per query —
+    /// result-identical to sequential [`AnnIndex::search`] calls (the
+    /// conformance suite checks this), behind the same request edge
+    /// ([`hd_core::api::admit`]): a metric mismatch would fail every
+    /// sequential call, so it fails the batch.
     fn search_batch(&self, queries: &[&[f32]], req: &SearchRequest) -> io::Result<Vec<SearchOutput>> {
-        if let Some(expected) = req.metric {
-            let actual = AnnIndex::metric(self);
-            if expected != actual {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "request expects metric {expected} but this engine serves {actual}"
-                    ),
-                ));
-            }
-        }
-        let k = req.k.min(self.len() as usize);
-        if k == 0 {
+        let Some(req) = hd_core::api::admit(self, req)? else {
             return Ok(queries.iter().map(|_| SearchOutput::default()).collect());
-        }
-        let qp = self.serve.resolve(&SearchRequest { k, ..*req }, self.len() as usize);
+        };
+        let qp = self.serve.resolve(&req, self.len() as usize);
         let deadline = req.time_budget.map(|b| Instant::now() + b);
         let answers = self.search_batch_deadline(queries.iter().copied(), &qp, deadline)?;
         Ok(answers.into_iter().map(SearchOutput::from_neighbors).collect())

@@ -195,6 +195,22 @@ impl ShardSet {
             }
             shards.push(Arc::new(Shard::new(index)));
         }
+        // Round-robin placement hands shard si every global id ≡ si mod S,
+        // so next-id watermarks never rise with the shard index and span at
+        // most 1. Anything else means a shard directory was written outside
+        // the engine; serving it would misplace every later insert (after
+        // logging it) — refuse instead.
+        let marks: Vec<u64> = shards.iter().map(|sh| sh.index.read().next_id()).collect();
+        if let Some(si) = (1..s).find(|&si| marks[si] > marks[si - 1] || marks[0] - marks[si] > 1) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "shard {si} has next id {} against shard 0's {}: round-robin placement \
+                     needs watermarks non-increasing by shard and within 1 of each other",
+                    marks[si], marks[0]
+                ),
+            ));
+        }
         // Every shard persisted the same shared reference set.
         let refs = shards[0].index.read().references().clone();
         Ok(Self {

@@ -240,3 +240,67 @@ fn compact_now_is_transparent_to_search() {
     assert_eq!(engine.compact_now().unwrap(), 0);
     std::fs::remove_dir_all(dir).ok();
 }
+
+/// Non-finite vectors are refused at the engine edge: a query with a NaN
+/// coordinate and an insert with `inf` both fail with `InvalidInput`, and
+/// neither burns an id nor leaves a trace in later answers.
+#[test]
+fn non_finite_vectors_are_invalid_input() {
+    let n = 600usize;
+    let (data, queries) = generate(&DatasetProfile::SIFT, n, 3, 41);
+    let dir = scratch("non_finite");
+    let params = EngineParams {
+        shards: 2,
+        threads: 2,
+        compaction_threshold: None,
+        ..EngineParams::new(index_params())
+    };
+    let engine = Engine::build(&data, &params, &dir).unwrap();
+    let qp = QueryParams::triangular(128, 32, 10);
+    let before = engine.search(queries.get(0), &qp).unwrap();
+
+    let mut bad = queries.get(0).to_vec();
+    bad[5] = f32::NAN;
+    let err = engine.search(&bad, &qp).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    bad[5] = f32::INFINITY;
+    let err = engine.insert(&bad).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+
+    assert_eq!(
+        engine.len(),
+        n as u64,
+        "a refused insert must not take an id"
+    );
+    assert_eq!(AnnIndex::stats(&engine).live_len, n as u64);
+    assert_eq!(engine.search(queries.get(0), &qp).unwrap(), before);
+    assert_eq!(engine.insert(queries.get(1)).unwrap(), n as u64);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A shard written outside the engine (two inserts straight into shard 1)
+/// breaks round-robin placement. Reopening must refuse it, naming the
+/// shard, instead of serving until the next insert fails after it was
+/// already logged.
+#[test]
+fn open_refuses_shard_watermarks_off_round_robin() {
+    let (data, _) = generate(&DatasetProfile::SIFT, 1000, 1, 43);
+    let dir = scratch("watermarks");
+    let params = EngineParams {
+        shards: 2,
+        threads: 2,
+        compaction_threshold: None,
+        ..EngineParams::new(index_params())
+    };
+    drop(Engine::build(&data, &params, &dir).unwrap());
+    {
+        let mut shard = hd_index::HdIndex::open(hd_engine::shard::shard_dir(&dir, 1), 0).unwrap();
+        shard.insert(data.get(0)).unwrap();
+        shard.insert(data.get(1)).unwrap();
+        shard.save().unwrap();
+    }
+    let err = Engine::open(&dir, &params).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("shard 1"), "{err}");
+    std::fs::remove_dir_all(dir).ok();
+}

@@ -15,7 +15,7 @@ pub enum RefSelection {
     /// reference lower-bounds distances of `pairs` sampled object pairs.
     SssDyn { f: f32, pairs: usize },
     /// Greedy k-center ("maximize the minimum distance among themselves",
-    /// the §2.2.2 selection family of [23]): each new reference is the
+    /// the §2.2.2 selection family of \[23\]): each new reference is the
     /// sample point farthest from all chosen so far. `sample` bounds the
     /// candidate pool so selection stays O(sample · m).
     MaxMin { sample: usize },

@@ -30,29 +30,21 @@ use std::time::Instant;
 /// because every HD-Index entry point and test speaks it.
 pub type QueryTrace = hd_core::api::SearchTrace;
 
-/// Per-tree outcome of candidate generation: surviving ids + scanned count.
-type TreeCandidates = io::Result<(Vec<u64>, usize)>;
-
-/// Counters produced by [`HdIndex::refine`], feeding [`QueryTrace`].
-#[derive(Debug, Clone, Copy, Default)]
-struct RefineStats {
-    /// Final candidate-set size κ = |C| (after dedup, before tombstones).
-    kappa: usize,
-    /// Distance evaluations attempted (κ minus tombstoned candidates).
-    evals: usize,
-    /// Evaluations abandoned early by the bounded kernel.
-    abandoned: usize,
-}
-
-/// Cached global-registry handles for the traced query pipeline — resolved
-/// once, then pure histogram records per query. Only touched while
-/// telemetry is enabled; the stage times themselves always land in the
-/// [`QueryTrace`] (a handful of clock reads per query).
+/// Cached global-registry handles the query entry points record a finished
+/// [`QueryTrace`] into — resolved once, then pure histogram records per
+/// query. Only touched while telemetry is enabled; the stage times
+/// themselves are stamped by [`HdIndex::search_pipeline`] on every query
+/// (a handful of clock reads).
 struct QueryTelemetry {
     total: Arc<hd_telemetry::LatencyHistogram>,
     ref_dists: Arc<hd_telemetry::LatencyHistogram>,
     candidates: Arc<hd_telemetry::LatencyHistogram>,
     refine: Arc<hd_telemetry::LatencyHistogram>,
+    /// Per (query, shard) under the serving engine, on pool threads: their
+    /// counts scale with the shard count, so they get their own names and
+    /// stay out of the `hd_query_*` per-query breakdown.
+    shard_candidates: Arc<hd_telemetry::LatencyHistogram>,
+    shard_refine: Arc<hd_telemetry::LatencyHistogram>,
 }
 
 fn query_telemetry() -> &'static QueryTelemetry {
@@ -73,8 +65,30 @@ fn query_telemetry() -> &'static QueryTelemetry {
                 "hd_query_refine_nanos",
                 "stage 3: blocked early-abandoning exact refinement",
             ),
+            shard_candidates: reg.histogram(
+                "shard_candidates_nanos",
+                "stage 2 of one engine query on one shard",
+            ),
+            shard_refine: reg.histogram(
+                "shard_refine_nanos",
+                "stage 3 of one engine query on one shard",
+            ),
         }
     })
+}
+
+/// `InvalidInput` unless every coordinate of `v` is finite. One NaN or ±∞
+/// coordinate poisons every distance it enters: a query would answer
+/// nothing, and a stored object could never be found.
+fn require_finite(v: &[f32], what: &str) -> io::Result<()> {
+    if v.iter().all(|x| x.is_finite()) {
+        Ok(())
+    } else {
+        Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{what} has a non-finite coordinate"),
+        ))
+    }
 }
 
 /// The blocked, early-abandoning scoring loop of the refinement pipeline —
@@ -822,88 +836,130 @@ impl HdIndex {
     /// Answers a kANN query, also reporting the paper's cost-model
     /// quantities for this query.
     pub fn knn_traced(&self, query: &[f32], qp: &QueryParams) -> io::Result<(Vec<Neighbor>, QueryTrace)> {
-        assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
-        qp.validate(self.metric);
-        let t_query = Instant::now();
         let mut qbuf = Vec::new();
         let query = self.metric.normalized_query(query, &mut qbuf);
+        let (answer, trace) = self.search_pipeline(query, None, qp)?;
+        if hd_telemetry::enabled() {
+            let t = query_telemetry();
+            t.total.record(trace.total_nanos);
+            t.ref_dists.record(trace.ref_dist_nanos);
+            t.candidates.record(trace.candidate_nanos);
+            t.refine.record(trace.refine_nanos);
+        }
+        Ok((answer, trace))
+    }
+
+    /// [`Self::knn`] with the query-to-reference distances supplied by the
+    /// caller. A sharded engine computes them once per query (all shards
+    /// share one reference set, see [`BuildOpts::references`]) and fans the
+    /// same slice out to every shard, amortizing the m distance kernels
+    /// that every per-tree filter depends on.
+    ///
+    /// `q_dists[i]` must be `d(query, R_i)` against exactly
+    /// [`Self::references`], in order, and `query` must already be in index
+    /// form (unit-normalized for cosine) — the engine normalizes once per
+    /// batch before computing the shared reference distances, so this path
+    /// must not normalize again.
+    pub fn knn_with_ref_dists(
+        &self,
+        query: &[f32],
+        q_dists: &[f32],
+        qp: &QueryParams,
+    ) -> io::Result<Vec<Neighbor>> {
+        let (answer, trace) = self.search_pipeline(query, Some(q_dists), qp)?;
+        if hd_telemetry::enabled() {
+            let t = query_telemetry();
+            t.shard_candidates.record(trace.candidate_nanos);
+            t.shard_refine.record(trace.refine_nanos);
+        }
+        Ok(answer)
+    }
+
+    /// Algorithm 2, the one query pipeline behind every entry point above
+    /// and the [`AnnIndex`] impl: query-to-reference distances (computed
+    /// here unless the caller supplies `q_dists`), steps (i)–(iii) on every
+    /// RDB-tree ([`Self::tree_candidates`]), then step (iv), exact
+    /// refinement of the union ([`Self::refine`]). `query` must be in index
+    /// form ([`Metric::normalized_query`]).
+    ///
+    /// The only place that validates `qp` and the query, and the one clock
+    /// of the query path: every stage time and the IO delta land on the
+    /// returned trace, which the callers record into telemetry.
+    ///
+    /// # Errors
+    /// `InvalidInput` when the query has a non-finite coordinate.
+    fn search_pipeline(
+        &self,
+        query: &[f32],
+        q_dists: Option<&[f32]>,
+        qp: &QueryParams,
+    ) -> io::Result<(Vec<Neighbor>, QueryTrace)> {
+        assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
+        qp.validate(self.metric);
+        require_finite(query, "query")?;
         let before = self.io_stats();
+        let t_query = Instant::now();
+        let mut trace = QueryTrace {
+            // The budgets this query actually ran with, so sweeps see the
+            // effective operating point instead of the requested one.
+            // Clamped against the *live* count here (not only in
+            // QueryParams::resolve) so direct knn_traced callers get honest
+            // numbers too — a tree can never surface more candidates than
+            // undeleted objects, however large α is.
+            effective_candidates: qp.alpha.min(self.live_len()),
+            effective_refine: qp.gamma.min(self.live_len()),
+            ..QueryTrace::default()
+        };
 
         // Distances from the query to all references (kept in memory; §4.4.1
         // argues the reference set always fits).
-        let t_stage = Instant::now();
-        let mut q_dists = Vec::with_capacity(self.refs.m());
-        self.refs.distances_to(query, &mut q_dists);
-        let ref_dist_nanos = t_stage.elapsed().as_nanos() as u64;
+        let mut own_dists = Vec::new();
+        let q_dists = match q_dists {
+            Some(d) => {
+                assert_eq!(d.len(), self.refs.m(), "reference-distance count mismatch");
+                d
+            }
+            None => {
+                self.refs.distances_to(query, &mut own_dists);
+                &own_dists
+            }
+        };
+        trace.ref_dist_nanos = t_query.elapsed().as_nanos() as u64;
 
         let t_stage = Instant::now();
         let mut candidate_ids: Vec<u64> = Vec::with_capacity(qp.gamma * self.trees.len());
-        let mut scanned_total = 0usize;
         for g in 0..self.trees.len() {
-            let (survivors, scanned) = self.tree_candidates(g, query, &q_dists, qp)?;
-            scanned_total += scanned;
-            candidate_ids.extend(survivors);
+            trace.scanned += self.tree_candidates(g, query, q_dists, qp, &mut candidate_ids)?;
         }
-        let candidate_nanos = t_stage.elapsed().as_nanos() as u64;
+        trace.candidate_nanos = t_stage.elapsed().as_nanos() as u64;
 
-        // Union across trees: C, κ = |C|.
         let t_stage = Instant::now();
-        let (answer, stats) = self.refine(query, candidate_ids, qp.k)?;
-        let refine_nanos = t_stage.elapsed().as_nanos() as u64;
+        let answer = self.refine(query, candidate_ids, qp.k, &mut trace)?;
+        trace.refine_nanos = t_stage.elapsed().as_nanos() as u64;
         let delta = self.io_stats().since(&before);
-        let total_nanos = t_query.elapsed().as_nanos() as u64;
-
-        if hd_telemetry::enabled() {
-            let t = query_telemetry();
-            t.total.record(total_nanos);
-            t.ref_dists.record(ref_dist_nanos);
-            t.candidates.record(candidate_nanos);
-            t.refine.record(refine_nanos);
-        }
-
-        Ok((
-            answer,
-            QueryTrace {
-                scanned: scanned_total,
-                kappa: stats.kappa,
-                physical_reads: delta.physical_reads,
-                logical_reads: delta.logical_reads,
-                refine_evals: stats.evals,
-                refine_abandoned: stats.abandoned,
-                // The budgets this query actually ran with, so sweeps see
-                // the effective operating point instead of the requested
-                // one. Clamped against the *live* count here (not only in
-                // QueryParams::resolve) so direct knn_traced callers get
-                // honest numbers too — a tree can never surface more
-                // candidates than undeleted objects, however large α is.
-                effective_candidates: qp.alpha.min(self.live_len()),
-                effective_refine: qp.gamma.min(self.live_len()),
-                ref_dist_nanos,
-                candidate_nanos,
-                refine_nanos,
-                total_nanos,
-            },
-        ))
+        trace.physical_reads = delta.physical_reads;
+        trace.logical_reads = delta.logical_reads;
+        trace.total_nanos = t_query.elapsed().as_nanos() as u64;
+        Ok((answer, trace))
     }
 
-    /// Steps (i)–(iii) of Algorithm 2 for one RDB-tree: fetch α candidates
-    /// by Hilbert-key adjacency (walking the leaf chain outward in both
-    /// directions from the query's position), then shrink them to γ with
-    /// the triangular — and optionally Ptolemaic — lower bound, computed
-    /// purely from the leaf-resident reference distances.
+    /// Steps (i)–(iii) of Algorithm 2 for one RDB-tree, called only by
+    /// [`Self::search_pipeline`]: fetch α candidates by Hilbert-key
+    /// adjacency (walking the leaf chain outward in both directions from
+    /// the query's position), then shrink them to γ with the triangular —
+    /// and optionally Ptolemaic — lower bound, computed purely from the
+    /// leaf-resident reference distances.
     ///
-    /// This is the one copy of the per-tree pipeline: the sequential path
-    /// ([`Self::knn_traced`]), the pooled path ([`Self::knn_parallel`]), and
-    /// the serving engine ([`Self::knn_with_ref_dists`]) all call it.
-    ///
-    /// Returns the surviving object ids and the number of scanned entries.
+    /// Appends the surviving object ids to `out` and returns the number of
+    /// scanned entries.
     fn tree_candidates(
         &self,
         g: usize,
         query: &[f32],
         q_dists: &[f32],
         qp: &QueryParams,
-    ) -> io::Result<(Vec<u64>, usize)> {
+        out: &mut Vec<u64>,
+    ) -> io::Result<usize> {
         let m = self.refs.m();
         let (lo, hi) = self.params.domain;
 
@@ -967,10 +1023,8 @@ impl HdIndex {
             survivors = keep_smallest(rescored, qp.gamma);
         }
 
-        Ok((
-            survivors.into_iter().map(|(_, i)| ids[i as usize]).collect(),
-            scanned,
-        ))
+        out.extend(survivors.into_iter().map(|(_, i)| ids[i as usize]));
+        Ok(scanned)
     }
 
     /// Final refinement, as a blocked, early-abandoning pipeline (Algorithm
@@ -979,9 +1033,10 @@ impl HdIndex {
     /// resident candidates once into a reusable arena
     /// ([`VectorHeap::get_block_into`]), and score every vector with the
     /// bounded kernel against the running top-k radius
-    /// ([`l2_sq_bounded`]) — κ random point reads become sequential
-    /// page-granular reads, and candidates that cannot enter the top-k are
-    /// abandoned mid-evaluation.
+    /// ([`Metric::key_bounded_traced`]) — κ random point reads become
+    /// sequential page-granular reads, and candidates that cannot enter the
+    /// top-k are abandoned mid-evaluation. Records κ and the evaluation
+    /// counts on `trace`.
     ///
     /// Results are bit-identical to the naive per-id path: sorting by id
     /// *is* sorting by heap page (ids are append-ordered), so candidates
@@ -993,15 +1048,13 @@ impl HdIndex {
         query: &[f32],
         mut candidate_ids: Vec<u64>,
         k: usize,
-    ) -> io::Result<(Vec<Neighbor>, RefineStats)> {
+        trace: &mut QueryTrace,
+    ) -> io::Result<Vec<Neighbor>> {
+        // Union across trees: C, κ = |C|. tree_candidates already dropped
+        // tombstoned and absent ids, so every member is live.
         candidate_ids.sort_unstable();
         candidate_ids.dedup();
-        let kappa = candidate_ids.len();
-        // Normally a no-op: tree_candidates already drops tombstoned and
-        // absent ids. Kept as the last line of defense so refine never
-        // resurrects a delete or reads past the heap (e.g. candidates
-        // supplied by a future external caller).
-        candidate_ids.retain(|&id| !self.tombstones.contains(&id) && self.contains_id(id));
+        trace.kappa = candidate_ids.len();
         // The heap is addressed by slot. Until the first compaction slots
         // and ids coincide; afterwards the strictly ascending id map keeps
         // the translation monotone, so sorted ids stay sorted slots (the
@@ -1018,14 +1071,8 @@ impl HdIndex {
         };
         let mut tk = TopK::new(k);
         let mut arena: Vec<f32> = Vec::new();
-        let (evals, abandoned) = score_candidates_blocked(
-            &self.heap,
-            self.metric,
-            query,
-            &slots,
-            &mut tk,
-            &mut arena,
-        )?;
+        (trace.refine_evals, trace.refine_abandoned) =
+            score_candidates_blocked(&self.heap, self.metric, query, &slots, &mut tk, &mut arena)?;
         let mut answer = tk.into_sorted();
         for nb in &mut answer {
             if let Some(map) = &self.id_map {
@@ -1033,80 +1080,7 @@ impl HdIndex {
             }
             nb.dist = self.metric.finalize(nb.dist);
         }
-        Ok((
-            answer,
-            RefineStats {
-                kappa,
-                evals,
-                abandoned,
-            },
-        ))
-    }
-
-    /// [`Self::knn`] with the query-to-reference distances supplied by the
-    /// caller. A sharded engine computes them once per query (all shards
-    /// share one reference set, see [`BuildOpts::references`]) and fans the
-    /// same slice out to every shard, amortizing the m distance kernels
-    /// that every per-tree filter depends on.
-    ///
-    /// `q_dists[i]` must be `d(query, R_i)` against exactly
-    /// [`Self::references`], in order, and `query` must already be in index
-    /// form (unit-normalized for cosine) — the engine normalizes once per
-    /// batch before computing the shared reference distances, so this path
-    /// must not normalize again.
-    pub fn knn_with_ref_dists(
-        &self,
-        query: &[f32],
-        q_dists: &[f32],
-        qp: &QueryParams,
-    ) -> io::Result<Vec<Neighbor>> {
-        assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
-        assert_eq!(q_dists.len(), self.refs.m(), "reference-distance count mismatch");
-        qp.validate(self.metric);
-        // Distinct span names from the traced single-index pipeline: these
-        // run per (query, shard) on pool threads, so their counts scale
-        // with S and must not pollute the hd_query_* per-query breakdown.
-        let mut candidate_ids: Vec<u64> = Vec::with_capacity(qp.gamma * self.trees.len());
-        {
-            let _s = hd_telemetry::span!("shard_candidates_nanos");
-            for g in 0..self.trees.len() {
-                candidate_ids.extend(self.tree_candidates(g, query, q_dists, qp)?.0);
-            }
-        }
-        let _s = hd_telemetry::span!("shard_refine_nanos");
-        self.refine(query, candidate_ids, qp.k).map(|(answer, _)| answer)
-    }
-
-    /// Parallel variant of [`Self::knn`] (§5.2.8, §6: the paper notes the
-    /// τ independent RDB-trees parallelize "with little synchronization").
-    /// Each tree's candidate generation + filtering runs as a task on the
-    /// process-wide [`hd_core::pool`] worker pool — no OS threads are
-    /// spawned per query — while the union and exact refinement stay
-    /// sequential.
-    pub fn knn_parallel(&self, query: &[f32], qp: &QueryParams) -> io::Result<Vec<Neighbor>> {
-        assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
-        qp.validate(self.metric);
-        let mut qbuf = Vec::new();
-        let query = self.metric.normalized_query(query, &mut qbuf);
-        let mut q_dists = Vec::with_capacity(self.refs.m());
-        self.refs.distances_to(query, &mut q_dists);
-        let q_dists = &q_dists;
-
-        let tau = self.trees.len();
-        let mut per_tree: Vec<Option<TreeCandidates>> = (0..tau).map(|_| None).collect();
-        hd_core::pool::global().run_scoped(per_tree.iter_mut().enumerate().map(|(g, slot)| {
-            let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                *slot = Some(self.tree_candidates(g, query, q_dists, qp));
-            });
-            (g, task)
-        }));
-
-        let mut candidate_ids = Vec::with_capacity(qp.gamma * tau);
-        for slot in per_tree {
-            let (survivors, _) = slot.expect("pool completed every tree task")?;
-            candidate_ids.extend(survivors);
-        }
-        self.refine(query, candidate_ids, qp.k).map(|(answer, _)| answer)
+        Ok(answer)
     }
 
     /// Inserts a new object (§3.6): log to the WAL (fsynced unless
@@ -1126,8 +1100,13 @@ impl HdIndex {
     /// blocks searches — and apply under the write lock afterwards. Callers
     /// splitting the halves must apply in id order (the engine's append
     /// gate guarantees it).
+    ///
+    /// # Errors
+    /// `InvalidInput`, with no id reserved and nothing logged, when the
+    /// vector has a non-finite coordinate.
     pub fn log_insert(&self, vector: &[f32]) -> io::Result<u64> {
         assert_eq!(vector.len(), self.dim, "dimensionality mismatch");
+        require_finite(vector, "inserted vector")?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.wal.append(&WalRecord::Insert { id, vector: vector.to_vec() })?;
         if self.autocommit {
@@ -1494,15 +1473,11 @@ impl AnnIndex for HdIndex {
     /// ([`QueryParams::resolve`]).
     fn search_core(&self, query: &[f32], req: &SearchRequest) -> io::Result<SearchOutput> {
         let qp = self.serve.resolve(req, self.heap.len() as usize);
-        if req.trace {
-            let (neighbors, trace) = self.knn_traced(query, &qp)?;
-            Ok(SearchOutput {
-                neighbors,
-                trace: Some(trace),
-            })
-        } else {
-            Ok(SearchOutput::from_neighbors(self.knn(query, &qp)?))
-        }
+        let (neighbors, trace) = self.knn_traced(query, &qp)?;
+        Ok(SearchOutput {
+            neighbors,
+            trace: req.trace.then_some(trace),
+        })
     }
 
     fn stats(&self) -> IndexStats {
@@ -1815,22 +1790,30 @@ mod tests {
     }
 
     #[test]
-    fn parallel_query_matches_sequential() {
-        let (data, queries) = generate(&DatasetProfile::SIFT, 2500, 10, 13);
-        let dir = test_dir("parallel");
-        let index = HdIndex::build(&data, &small_params(), &dir).unwrap();
-        for qp in [
-            QueryParams::triangular(256, 64, 10),
-            QueryParams::ptolemaic(256, 128, 64, 10),
-        ] {
-            for q in queries.iter() {
-                assert_eq!(
-                    index.knn_parallel(q, &qp).unwrap(),
-                    index.knn(q, &qp).unwrap(),
-                    "parallel and sequential answers must be identical"
-                );
-            }
-        }
+    fn non_finite_vectors_are_invalid_input() {
+        let (data, queries) = generate(&DatasetProfile::SIFT, 800, 1, 15);
+        let dir = test_dir("non_finite");
+        let mut index = HdIndex::build(&data, &small_params(), &dir).unwrap();
+        let qp = QueryParams::triangular(128, 32, 10);
+        let before = index.knn(queries.get(0), &qp).unwrap();
+
+        let mut bad = queries.get(0).to_vec();
+        bad[7] = f32::NAN;
+        let err = index.knn(&bad, &qp).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        let err = index.search(&bad, &SearchRequest::new(10)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        bad[7] = f32::NEG_INFINITY;
+        let err = index.insert(&bad).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+
+        // Nothing reserved, logged or stored: same answers, same
+        // watermarks, and the next valid insert takes the next id.
+        assert_eq!(index.next_id(), 800);
+        assert_eq!(index.len(), 800);
+        assert_eq!(index.wal_tail_bytes(), 0);
+        assert_eq!(index.knn(queries.get(0), &qp).unwrap(), before);
+        assert_eq!(index.insert(data.get(3)).unwrap(), 800);
         std::fs::remove_dir_all(dir).ok();
     }
 

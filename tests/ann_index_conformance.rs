@@ -102,6 +102,16 @@ fn every_registered_method_honors_the_search_contract() {
             );
         }
 
+        // Asking for a trace must not change the answer.
+        for (qi, (q, s)) in queries.iter().zip(&sequential).enumerate() {
+            let traced = index.search(q, &req.with_trace()).unwrap();
+            assert_eq!(
+                traced.neighbors, s.neighbors,
+                "{}: traced search diverges on query {qi}",
+                spec.name
+            );
+        }
+
         // Exact methods: recall 1.0 (id-identical to brute force; both
         // sides share the deterministic (dist, id) ordering).
         if spec.exact {
